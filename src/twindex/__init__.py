@@ -10,9 +10,7 @@ from .indicator import (
     WindowSpec,
     channel_indicator,
     correlation_matrix,
-    incremental_advance,
     indicator_series,
-    total_indicator,
     window_slice,
 )
 from .model import (

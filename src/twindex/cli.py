@@ -19,7 +19,7 @@ from . import io_formats as iof
 from .errors import TwindexError
 from .indicator import WindowSpec, indicator_series
 from .model import bind_competencies
-from .regimes import CostReport, apply_scenario, compare_regimes
+from .regimes import apply_scenario, compare_regimes
 from .synth import generate_competency_map, generate_enterprise
 
 _INPUT_ERRORS = (TwindexError, FileNotFoundError, json.JSONDecodeError)
@@ -117,7 +117,7 @@ def indicate(ctx, events_path, map_path, k, mode, startup, reduction, out_path, 
         _fail(err)
     click.echo(
         f"evaluated {len(series)} periods (t={series.times[0]}..{series.times[-1]}), "
-        f"grand total {iof.round_half_away(series.grand_total, 2)}"
+        f"grand total {iof.round_half_away(series.total, 2)}"
     )
 
 
@@ -142,19 +142,6 @@ def total(ctx, series_path, from_config) -> None:
         )
 
 
-def _load_cost(path: str | None, name: str, budget: float) -> CostReport | None:
-    if path is None:
-        return None
-    data = json.loads(Path(path).read_text())
-    return CostReport(
-        regime_name=data.get("regime", name),
-        base_cost=float(data.get("base_cost", 0.0)),
-        install_cost=float(data.get("install_cost", 0.0)),
-        activation_cost=float(data.get("activation_cost", 0.0)),
-        budget=budget,
-    )
-
-
 @main.command()
 @click.option("--series-a", type=click.Path(dir_okay=False), default=None)
 @click.option("--series-b", type=click.Path(dir_okay=False), default=None)
@@ -173,10 +160,13 @@ def compare(ctx, series_a, series_b, cost_a, cost_b, budget, as_json, from_confi
         sa = iof.parse_indicator_csv(Path(p["series_a"]).read_text())
         sb = iof.parse_indicator_csv(Path(p["series_b"]).read_text())
         budget = float(p["budget"])
+        cost_a, cost_b = (
+            None if p[key] is None
+            else iof.cost_report_from_json(Path(p[key]).read_text(), name, budget)
+            for key, name in (("cost_a", "a"), ("cost_b", "b"))
+        )
         cmp = compare_regimes(
-            sa.total, sb.total,
-            cost_a=_load_cost(p["cost_a"], "a", budget),
-            cost_b=_load_cost(p["cost_b"], "b", budget),
+            sa.total, sb.total, cost_a=cost_a, cost_b=cost_b,
             name_a=Path(p["series_a"]).stem, name_b=Path(p["series_b"]).stem,
         )
     except _INPUT_ERRORS as err:

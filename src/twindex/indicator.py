@@ -9,13 +9,14 @@ sum of absolute entries.  Two matrix modes ship:
                 correlation; zero-variance channels get an all-zero row and
                 column, diagonal included.
 
-The grand total is the double sum of all per-channel indicators over all
-evaluated periods.  An incremental O(p^2)-per-step path is provided alongside
-the naive per-window computation and must agree with it.
+The total is the correctly rounded sum of the per-period sums of the
+per-channel indicators.  An incremental O(p^2)-per-step path is provided
+alongside the naive per-window computation and must agree with it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,6 +32,9 @@ from .model import CompetencySignal, _frozen
 
 MODES = ("raw", "standardized")
 STARTUPS = ("skip", "grow")
+# below this sample std a column's squared deviations come near the subnormal
+# range, where they lose precision
+_TINY_SD = 1e-150
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,13 @@ def correlation_matrix(window: WindowMatrix, mode: str = "standardized") -> Corr
         live = (w.max(axis=0) != w.min(axis=0)) & (sd > 0.0)
         z = np.zeros_like(w)
         z[:, live] = (w[:, live] - mean[live]) / sd[live]
+        tiny = live & (sd < _TINY_SD)
+        if tiny.any():
+            # imprecise squared deviations can push |r| past 1; scaling by a
+            # power of two is exact and leaves the z-scores unchanged
+            wt = w[:, tiny]
+            wt = np.ldexp(wt, -np.frexp(np.abs(wt).max(axis=0))[1])
+            z[:, tiny] = (wt - wt.mean(axis=0)) / wt.std(axis=0, ddof=1)
         r = (z.T @ z) / (k - 1)
         # dead channels carry no co-movement signal: zero the whole row/column
         r[~live, :] = 0.0
@@ -134,20 +145,26 @@ def channel_indicator(corr: CorrelationMatrix, i: int) -> float:
 
 @dataclass(frozen=True)
 class IndicatorSeries:
-    """Per-period per-channel indicator values plus the grand total."""
+    """Per-period per-channel indicator values.
+
+    A parsed `t,V` file is the one-channel case: channel ("V",), with the
+    value of its optional `Total` row as `declared_total`.
+    """
 
     times: np.ndarray            # evaluated anchors, ascending
     values: np.ndarray           # shape (len(times), p)
     channel_names: tuple[str, ...]
-    spec: WindowSpec
+    declared_total: float | None = None
 
     @property
     def period_sums(self) -> np.ndarray:
         return self.values.sum(axis=1)
 
     @property
-    def grand_total(self) -> float:
-        return float(self.values.sum())
+    def total(self) -> float:
+        """Correctly rounded sum of the period sums, so a written `t,V` file
+        re-totals to the same bits."""
+        return math.fsum(self.period_sums)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -174,15 +191,7 @@ def indicator_series(signal: CompetencySignal, spec: WindowSpec) -> IndicatorSer
         times=_frozen(np.arange(start, last_t + 1)),
         values=_frozen(out),
         channel_names=signal.channel_names,
-        spec=spec,
     )
-
-
-def total_indicator(series: IndicatorSeries | None) -> float:
-    """Grand total: double sum over evaluated periods and channels."""
-    if series is None or len(series) == 0:
-        return 0.0
-    return series.grand_total
 
 
 class IncrementalWindow:
@@ -240,8 +249,3 @@ class IncrementalWindow:
             r[np.ix_(live, live)] = cov[np.ix_(live, live)] / denom
         return CorrelationMatrix(entries=_frozen(r), anchor=anchor, mode=self.spec.mode)
 
-
-def incremental_advance(state: IncrementalWindow, new_row) -> tuple[IncrementalWindow, CorrelationMatrix | None]:
-    """Functional wrapper over IncrementalWindow.advance (state mutates in place
-    and is returned for call-site symmetry with the naive path)."""
-    return state, state.advance(new_row)

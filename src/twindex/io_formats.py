@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import MalformedHeader, MalformedNumber, NonMonotonicTime
+from .errors import MalformedHeader, MalformedNumber, NonMonotonicTime, TwindexError
 from .indicator import IndicatorSeries
 from .model import (
     ChannelLabel,
@@ -23,6 +22,7 @@ from .model import (
     CompetencyMap,
     EventMatrix,
     Taxonomy,
+    _frozen,
     validate_event_matrix,
 )
 from .regimes import Comparison, CostReport, Intervention
@@ -105,24 +105,9 @@ def write_event_csv(events: EventMatrix) -> str:
 
 # -- indicator series (Table-1 shape) -----------------------------------------
 
-@dataclass(frozen=True)
-class TableOneSeries:
-    """Flat (t, V) per-period indicator series with an optional declared total."""
-
-    times: tuple[int, ...]
-    values: tuple[float, ...]
-    declared_total: float | None = None
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def parse_indicator_csv(text: str) -> TableOneSeries:
-    """Parse `t,V` rows, optionally closed by a `Total,<value>` row."""
+def parse_indicator_csv(text: str) -> IndicatorSeries:
+    """Parse `t,V` rows, optionally closed by a `Total,<value>` row, into a
+    one-channel series."""
     lines = _split_lines(text)
     if not lines:
         raise MalformedHeader("empty input", line=1)
@@ -135,9 +120,11 @@ def parse_indicator_csv(text: str) -> TableOneSeries:
     declared = None
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
+        if len(fields) < 2:
+            raise MalformedNumber(f"expected at least 2 fields, got {len(fields)}", line=line_no)
         if fields[0].strip() == "Total":
             declared = _parse_float(fields, 1, line_no)
-            if line_no - 1 != len(lines) - 1:
+            if line_no != len(lines):
                 raise NonMonotonicTime("Total row must be last", line=line_no)
             break
         t = _parse_int(fields, 0, line_no)
@@ -147,19 +134,20 @@ def parse_indicator_csv(text: str) -> TableOneSeries:
             )
         times.append(t)
         values.append(_parse_float(fields, 1, line_no))
-    return TableOneSeries(times=tuple(times), values=tuple(values), declared_total=declared)
+    return IndicatorSeries(
+        times=_frozen(np.array(times, dtype=int)),
+        values=_frozen(np.array(values, dtype=float).reshape(-1, 1)),
+        channel_names=("V",),
+        declared_total=declared,
+    )
 
 
-def write_indicator_csv(series: IndicatorSeries | TableOneSeries, total_row: bool = True) -> str:
+def write_indicator_csv(series: IndicatorSeries, total_row: bool = True) -> str:
     out = ["t,V"]
-    if isinstance(series, TableOneSeries):
-        ts, vs, total = series.times, series.values, series.total
-    else:
-        ts, vs, total = series.times, series.period_sums, series.grand_total
-    for t, v in zip(ts, vs):
-        out.append(f"{int(t)},{float(v)!r}")
+    for t, v in zip(series.times.tolist(), series.period_sums.tolist()):
+        out.append(f"{t},{v!r}")
     if total_row:
-        out.append(f"Total,{float(total)!r}")
+        out.append(f"Total,{series.total!r}")
     return "\n".join(out) + "\n"
 
 
@@ -171,19 +159,12 @@ def round_half_away(value: float, places: int) -> str:
     return str(Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_UP))
 
 
-def emit_plot_data(series: IndicatorSeries | TableOneSeries, precision: int = 2) -> str:
-    """CSV `t,V` (plus per-channel columns when the series carries them) with
-    values rounded half-away-from-zero for external plotting tools."""
-    if isinstance(series, TableOneSeries):
-        out = ["t,V"]
-        for t, v in zip(series.times, series.values):
-            out.append(f"{int(t)},{round_half_away(v, precision)}")
-    else:
-        out = ["t,V," + ",".join(series.channel_names)]
-        sums = series.period_sums
-        for r, t in enumerate(series.times):
-            cells = [round_half_away(v, precision) for v in series.values[r]]
-            out.append(f"{int(t)},{round_half_away(sums[r], precision)}," + ",".join(cells))
+def emit_plot_data(series: IndicatorSeries, precision: int = 2) -> str:
+    """CSV `t,V` of the period sums, rounded half-away-from-zero for external
+    plotting tools."""
+    out = ["t,V"]
+    for t, v in zip(series.times.tolist(), series.period_sums.tolist()):
+        out.append(f"{t},{round_half_away(v, precision)}")
     return "\n".join(out) + "\n"
 
 
@@ -319,6 +300,24 @@ def _cost_dict(report: CostReport | None):
         "budget": report.budget,
         "within_budget": report.within_budget,
     }
+
+
+def cost_report_from_json(text: str, name: str, budget: float) -> CostReport:
+    """Read the keys `_cost_dict` writes; `regime` defaults to `name`, the
+    costs to 0.0."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise TwindexError(f"cost file must hold a JSON object, got {type(data).__name__}")
+    regime = data.get("regime", name)
+    if not isinstance(regime, str):
+        raise TwindexError(f"cost key 'regime' must be a string, got {regime!r}")
+    costs = {}
+    for key in ("base_cost", "install_cost", "activation_cost"):
+        value = data.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TwindexError(f"cost key {key!r} must be a number, got {value!r}")
+        costs[key] = float(value)
+    return CostReport(regime_name=regime, budget=budget, **costs)
 
 
 def comparison_to_json(cmp: Comparison) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInput, OutOfRange, UnknownChannel
+from .errors import DimensionMismatch, NonFiniteInput, OutOfRange, UnknownChannel
 from .model import CompetencyMap, EventMatrix, _frozen
 
 
@@ -55,28 +55,20 @@ def apply_scenario(events: EventMatrix, scenario: list[Intervention]) -> EventMa
 
 @dataclass(frozen=True)
 class Regime:
-    """Named operating mode: events + competency map + scenario + install cost."""
+    """Named operating mode: events + competency map + install cost."""
 
     name: str
     events: EventMatrix
     map: CompetencyMap
-    scenario: tuple[Intervention, ...] = ()
     install_cost: float = 0.0
 
     def __post_init__(self):
         if self.install_cost < 0:
             raise ValueError("install_cost must be >= 0")
         if self.map.n != self.events.n_channels:
-            from .errors import DimensionMismatch
             raise DimensionMismatch(
                 f"map has {self.map.n} columns, events have {self.events.n_channels} channels"
             )
-        for iv in self.scenario:
-            if iv.start + iv.duration - 1 > self.events.t_max:
-                raise OutOfRange(f"intervention {iv.name!r} exceeds the time axis")
-
-    def applied_events(self) -> EventMatrix:
-        return apply_scenario(self.events, list(self.scenario))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def test_criterion_5_oracle_equivalence():
         series = indicator_series(sig, spec)
         naive = oracle_series_total(sig, spec)
         if naive != 0.0:
-            worst_total = max(worst_total, abs(series.grand_total - naive) / abs(naive))
+            worst_total = max(worst_total, abs(series.total - naive) / abs(naive))
     elapsed = time.perf_counter() - start
     ok = worst_entry <= 1e-9 and worst_total <= 1e-9 and elapsed < 30.0
     report(5, "100 seeded instances: incremental == naive, totals == oracle", ok,
@@ -163,7 +163,7 @@ def test_criterion_6_invariant_suite():
     got = indicator_series(permuted, spec)
     checks.append(("permutation equivariance",
                    np.allclose(got.values, base.values[:, perm], atol=1e-10)
-                   and abs(got.grand_total - base.grand_total) <= 1e-9 * abs(base.grand_total)))
+                   and abs(got.total - base.total) <= 1e-9 * abs(base.total)))
 
     events = make_events(rng.normal(size=(15, 3)))
     a = Intervention("a", 2, 4, ("ch1",), 1.5)
@@ -195,7 +195,7 @@ def test_criterion_7_desk_scale_throughput():
     signal = bind_competencies(events, cmap)
     series = indicator_series(signal, WindowSpec(k=12, mode="standardized", startup="skip"))
     elapsed = time.perf_counter() - start
-    ok = elapsed < 5.0 and len(series) == 48 and series.grand_total > 0.0
+    ok = elapsed < 5.0 and len(series) == 48 and series.total > 0.0
     report(7, "full pipeline n=100, T=60, k=12, m=30 under 5 s", ok, f"{elapsed:.2f}s")
 
 

@@ -159,3 +159,38 @@ def test_flags_from_config_file_with_override(workdir, runner):
     ])
     assert result.exit_code == 0, result.output
     assert len(parse_indicator_csv((workdir / "series12.csv").read_text())) == 45
+
+
+def _assert_clean_failure(result, where):
+    # an uncaught exception also gives exit code 1 under CliRunner; only a
+    # SystemExit comes from the CLI's own error path
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    output = result.output + (result.stderr or "")
+    assert "error:" in output and where in output
+    assert "Traceback" not in output
+
+
+@pytest.mark.parametrize("cost_text,where", [
+    ('{"base_cost": "abc"}', "'base_cost'"),
+    ("[1, 2]", "JSON object"),
+], ids=["string-cost", "list-document"])
+def test_malformed_cost_file_exits_one(tmp_path, runner, cost_text, where):
+    a, b, cost = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "cost.json"
+    a.write_text("t,V\n1,10.0\n")
+    b.write_text("t,V\n1,8.0\n")
+    cost.write_text(cost_text)
+    result = runner.invoke(main, [
+        "compare", "--series-a", str(a), "--series-b", str(b), "--cost-a", str(cost),
+    ])
+    _assert_clean_failure(result, where)
+
+
+@pytest.mark.parametrize("command", ["total", "plot-data"])
+@pytest.mark.parametrize("row", ["13", "Total"])
+def test_series_row_without_value_exits_one(tmp_path, runner, command, row):
+    series = tmp_path / "series.csv"
+    series.write_text(f"t,V\n12,1.5\n{row}\n")
+    out = ["--out", str(tmp_path / "plot.csv")] if command == "plot-data" else []
+    result = runner.invoke(main, [command, "--series", str(series), *out])
+    _assert_clean_failure(result, "(line 3)")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twindex import IncrementalWindow, WindowSpec, correlation_matrix, incremental_advance
+from twindex import IncrementalWindow, WindowSpec, correlation_matrix
 from twindex.errors import DimensionMismatch
 from twindex.indicator import WindowMatrix
 
@@ -30,7 +30,7 @@ def test_matches_full_recompute(mode, startup):
     state = IncrementalWindow(spec, p)
     emitted = {}
     for row in rows:
-        state, corr = incremental_advance(state, row)
+        corr = state.advance(row)
         if corr is not None:
             emitted[corr.anchor] = corr.entries
     assert emitted.keys() == expected.keys()

@@ -6,7 +6,6 @@ from twindex import (
     channel_indicator,
     correlation_matrix,
     indicator_series,
-    total_indicator,
     window_slice,
 )
 from twindex.errors import (
@@ -189,13 +188,13 @@ class TestIndicatorSeries:
         sig = bind_competencies(events, make_map(np.eye(4, dtype=int)))
         series = indicator_series(sig, WindowSpec(k=6, mode="standardized"))
         assert (series.values == 0.0).all()
-        assert series.grand_total == 0.0
+        assert series.total == 0.0
 
     def test_matches_naive_composition(self):
         sig = random_signal(np.random.default_rng(2), 40, 4)
         spec = WindowSpec(k=8, mode="standardized")
         series = indicator_series(sig, spec)
-        assert series.grand_total == pytest.approx(oracle_series_total(sig, spec), rel=1e-12)
+        assert series.total == pytest.approx(oracle_series_total(sig, spec), rel=1e-12)
 
     def test_too_short_series(self):
         sig = random_signal(np.random.default_rng(2), 5, 2)
@@ -212,12 +211,3 @@ class TestIndicatorSeries:
         sig = random_signal(np.random.default_rng(9), 30, 5)
         series = indicator_series(sig, WindowSpec(k=6))
         np.testing.assert_allclose(series.period_sums, series.values.sum(axis=1), atol=1e-12)
-
-    def test_total_indicator_hand_sum(self):
-        sig = random_signal(np.random.default_rng(4), 30, 2)
-        series = indicator_series(sig, WindowSpec(k=4))
-        object.__setattr__(series, "values", np.array([[1.5, 2.5], [1.0, 1.0]]))
-        assert total_indicator(series) == pytest.approx(6.0)
-
-    def test_total_indicator_empty(self):
-        assert total_indicator(None) == 0.0

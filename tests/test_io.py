@@ -36,6 +36,11 @@ from twindex.io_formats import (
 
 from conftest import make_map, random_signal
 
+_shape_rng = np.random.default_rng(2412)
+ROUND_TRIP_SHAPES = [
+    (seed, int(_shape_rng.integers(20, 200)), int(_shape_rng.integers(1, 13))) for seed in range(24)
+]
+
 
 class TestEventCsv:
     def test_small_grid(self):
@@ -91,16 +96,23 @@ class TestIndicatorCsv:
         with pytest.raises(NonMonotonicTime):
             parse_indicator_csv("t,V\n1,1.0\n3,2.0\n2,3.0\n")
 
-    def test_round_trip_full_precision(self):
-        sig = random_signal(np.random.default_rng(5), 30, 3)
+    @pytest.mark.parametrize("seed,t_max,p", ROUND_TRIP_SHAPES)
+    def test_round_trip_full_precision(self, seed, t_max, p):
+        sig = random_signal(np.random.default_rng(seed), t_max, p)
         series = indicator_series(sig, WindowSpec(k=6))
         text = write_indicator_csv(series)
         parsed = parse_indicator_csv(text)
         assert list(parsed.times) == list(series.times)
-        assert list(parsed.values) == list(series.period_sums)
-        assert parsed.declared_total == series.grand_total
+        assert list(parsed.period_sums) == list(series.period_sums)
+        assert parsed.declared_total == series.total
         # and the flat form round-trips through itself bit-exactly
         assert write_indicator_csv(parsed) == text
+
+    @pytest.mark.parametrize("row", ["13", "Total"])
+    def test_row_without_value_field(self, row):
+        with pytest.raises(MalformedNumber) as exc:
+            parse_indicator_csv(f"t,V\n12,1.5\n{row}\n")
+        assert exc.value.line == 3
 
 
 class TestPlotData:
@@ -111,21 +123,15 @@ class TestPlotData:
         assert out.strip().split("\n")[1:] == expected_rows
 
     def test_empty_series_header_only(self):
-        from twindex.io_formats import TableOneSeries
-        assert emit_plot_data(TableOneSeries((), ()), 2) == "t,V\n"
+        series = parse_indicator_csv("t,V\n")
+        assert emit_plot_data(series, 2) == "t,V\n"
+        assert series.total == 0.0
 
     def test_rounding_half_away_from_zero(self):
         assert round_half_away(1.005, 2) == "1.01"
         assert round_half_away(-1.005, 2) == "-1.01"
         assert round_half_away(132.2, 2) == "132.20"
         assert round_half_away(2.675, 2) == "2.68"
-
-    def test_per_channel_columns_for_engine_series(self):
-        sig = random_signal(np.random.default_rng(5), 20, 2)
-        series = indicator_series(sig, WindowSpec(k=4))
-        out = emit_plot_data(series, 2)
-        header = out.split("\n")[0]
-        assert header == "t,V," + ",".join(series.channel_names)
 
 
 class TestJsonFormats:

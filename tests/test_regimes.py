@@ -136,7 +136,7 @@ class TestCompareRegimes:
         totals, oracles = [], []
         for events in (boosted, base):
             sig = bind_competencies(events, make_map(mask))
-            totals.append(indicator_series(sig, spec).grand_total)
+            totals.append(indicator_series(sig, spec).total)
             oracles.append(oracle_series_total(sig, spec))
         cmp = compare_regimes(totals[0], totals[1])
         assert cmp.delta == pytest.approx(oracles[0] - oracles[1], rel=1e-9)
