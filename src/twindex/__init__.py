@@ -3,15 +3,11 @@ indicator, and management-regime comparison."""
 
 from .errors import TwindexError
 from .indicator import (
-    CorrelationMatrix,
     IncrementalWindow,
     IndicatorSeries,
-    WindowMatrix,
     WindowSpec,
-    channel_indicator,
     correlation_matrix,
     indicator_series,
-    window_slice,
 )
 from .model import (
     ChannelLabel,

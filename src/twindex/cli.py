@@ -26,18 +26,25 @@ _INPUT_ERRORS = (TwindexError, FileNotFoundError, json.JSONDecodeError)
 
 
 def _merge_from_config(ctx: click.Context, from_config: str | None) -> None:
-    """Fill parameters not given on the command line from a JSON file."""
+    """Fill parameters not given on the command line from a JSON object in a
+    file, each value converted by its option's click type."""
     if from_config is None:
         return
-    data = json.loads(Path(from_config).read_text())
+    try:
+        data = json.loads(Path(from_config).read_text())
+    except ValueError as err:
+        raise click.UsageError(f"config file {from_config} is not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config file {from_config} must hold a JSON object")
+    params = {param.name: param for param in ctx.command.params}
     for key, value in data.items():
         name = key.replace("-", "_")
-        if name not in ctx.params:
+        if name not in params:
             raise click.UsageError(f"unknown option {key!r} in config file {from_config}")
         src = ctx.get_parameter_source(name)
         if src is not None and src.name == "COMMANDLINE":
             continue
-        ctx.params[name] = value
+        ctx.params[name] = params[name].type_cast_value(ctx, value)
 
 
 def _require(ctx: click.Context, **flag_names: str) -> None:
@@ -110,7 +117,7 @@ def indicate(ctx, events_path, map_path, k, mode, startup, reduction, out_path, 
         cmap = iof.competency_map_from_json(Path(p["map_path"]).read_text())
         cmap = dataclasses.replace(cmap, reduction_mode=p["reduction"])
         signal = bind_competencies(events, cmap)
-        spec = WindowSpec(k=int(p["k"]), mode=p["mode"], startup=p["startup"])
+        spec = WindowSpec(k=p["k"], mode=p["mode"], startup=p["startup"])
         series = indicator_series(signal, spec)
         Path(p["out_path"]).write_text(iof.write_indicator_csv(series))
     except _INPUT_ERRORS as err:
@@ -159,10 +166,9 @@ def compare(ctx, series_a, series_b, cost_a, cost_b, budget, as_json, from_confi
     try:
         sa = iof.parse_indicator_csv(Path(p["series_a"]).read_text())
         sb = iof.parse_indicator_csv(Path(p["series_b"]).read_text())
-        budget = float(p["budget"])
         cost_a, cost_b = (
             None if p[key] is None
-            else iof.cost_report_from_json(Path(p[key]).read_text(), name, budget)
+            else iof.cost_report_from_json(Path(p[key]).read_text(), name, p["budget"])
             for key, name in (("cost_a", "a"), ("cost_b", "b"))
         )
         cmp = compare_regimes(
@@ -208,7 +214,7 @@ def plot_data(ctx, series_path, precision, out_path, from_config) -> None:
     p = ctx.params
     try:
         series = iof.parse_indicator_csv(Path(p["series_path"]).read_text())
-        Path(p["out_path"]).write_text(iof.emit_plot_data(series, int(p["precision"])))
+        Path(p["out_path"]).write_text(iof.emit_plot_data(series, p["precision"]))
     except _INPUT_ERRORS as err:
         _fail(err)
     click.echo(f"wrote {len(series)} data rows to {p['out_path']}")

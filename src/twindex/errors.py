@@ -5,6 +5,10 @@ class TwindexError(Exception):
     """Base class for all diagnostics raised by this package."""
 
 
+class InvalidValue(TwindexError, ValueError):
+    """A constructor argument outside its allowed range or set."""
+
+
 # -- event model --------------------------------------------------------------
 
 class NonFiniteValue(TwindexError):
@@ -46,10 +50,6 @@ class InsufficientHistory(TwindexError):
 
 class DegenerateWindow(TwindexError):
     """Window has fewer than 2 rows."""
-
-
-class IndexOutOfRange(TwindexError):
-    pass
 
 
 # -- regimes ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Sliding-window correlation indicator engine.
 
-For each evaluated period t a lagged window of the signal (rows at t-1..t-k)
-is formed, reduced to a p x p matrix, and each channel's indicator is the row
-sum of absolute entries.  Two matrix modes ship:
+For each evaluated period t the lagged window of the signal (the k x p array
+of rows t-1..t-k) is reduced to a p x p array, and each channel's indicator is
+the row sum of absolute entries.  Two matrix modes ship:
 
   raw           (1/(k-1)) * W^T W, the literal inner-product average;
   standardized  the same applied to within-window z-scores, i.e. Pearson
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWindow,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InsufficientHistory,
-)
+from .errors import DegenerateWindow, DimensionMismatch, InsufficientHistory, InvalidValue
 from .model import CompetencySignal, _frozen
 
 MODES = ("raw", "standardized")
@@ -45,67 +40,26 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError(f"window length k must be >= 2, got {self.k}")
+            raise InvalidValue(f"window length k must be >= 2, got {self.k}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidValue(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.startup not in STARTUPS:
-            raise ValueError(f"startup must be one of {STARTUPS}, got {self.startup!r}")
-
-
-@dataclass(frozen=True)
-class WindowMatrix:
-    """k x p lagged rows; row r holds the signal at time anchor - 1 - r."""
-
-    rows: np.ndarray
-    anchor: int
+            raise InvalidValue(f"startup must be one of {STARTUPS}, got {self.startup!r}")
 
     @property
-    def k(self) -> int:
-        return self.rows.shape[0]
+    def min_depth(self) -> int:
+        """Lagged rows an anchor needs: k under skip, 2 (so k-1 >= 1) under grow."""
+        return self.k if self.startup == "skip" else 2
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    entries: np.ndarray   # p x p
-    anchor: int
-    mode: str
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-
-def window_slice(signal: CompetencySignal, t: int, spec: WindowSpec) -> WindowMatrix:
-    """Extract the lagged window for anchor t: rows at t-1, t-2, ..., t-k.
-
-    With startup="grow", fewer than k lags are allowed as long as at least
-    2 exist (the matrix divisor needs >= 2 rows).
-    """
-    first_t = int(signal.periods[0])
-    available = t - first_t  # lags t-1 down to first_t
-    if spec.startup == "skip":
-        if available < spec.k:
-            raise InsufficientHistory(
-                f"anchor t={t} has only {available} lagged periods, window needs {spec.k}"
-            )
-        depth = spec.k
-    else:
-        if available < 2:
-            raise InsufficientHistory(f"anchor t={t} has {available} lagged periods, need >= 2")
-        depth = min(spec.k, available)
-    # row index of time t' in the value grid is t' - first_t
-    idx = [t - lag - first_t for lag in range(1, depth + 1)]
-    return WindowMatrix(rows=_frozen(signal.values[idx, :]), anchor=t)
-
-
-def correlation_matrix(window: WindowMatrix, mode: str = "standardized") -> CorrelationMatrix:
-    """Reduce a k x p window to a p x p matrix.
+def correlation_matrix(w: np.ndarray, mode: str = "standardized") -> np.ndarray:
+    """Reduce a k x p window (row r holds lag r + 1) to a p x p matrix.
 
     raw: (1/(k-1)) W^T W.  standardized: z-score each column (mean removed,
     sample std with divisor k-1) then the same product; constant columns yield
     an all-zero row/column.
     """
-    w = np.asarray(window.rows, dtype=float)
+    w = np.asarray(w, dtype=float)
     k = w.shape[0]
     if k < 2:
         raise DegenerateWindow(f"window has {k} rows, need >= 2")
@@ -133,14 +87,7 @@ def correlation_matrix(window: WindowMatrix, mode: str = "standardized") -> Corr
         r[:, ~live] = 0.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return CorrelationMatrix(entries=_frozen(r), anchor=window.anchor, mode=mode)
-
-
-def channel_indicator(corr: CorrelationMatrix, i: int) -> float:
-    """Indicator of channel i: sum_j |r_ij|, diagonal included."""
-    if not 0 <= i < corr.p:
-        raise IndexOutOfRange(f"channel {i} out of range for p={corr.p}")
-    return float(np.abs(corr.entries[i, :]).sum())
+    return r
 
 
 @dataclass(frozen=True)
@@ -171,22 +118,19 @@ class IndicatorSeries:
 
 
 def indicator_series(signal: CompetencySignal, spec: WindowSpec) -> IndicatorSeries:
-    """Evaluate every admissible anchor in ascending order.
-
-    skip mode starts at t = first + k; grow mode at the first t with >= 2 lags.
-    """
+    """Evaluate every anchor from first + min_depth on, ascending; the window
+    of anchor t is the rows t-1, t-2, ... (at most k of them), lag 1 first."""
     first_t = int(signal.periods[0])
     last_t = int(signal.periods[-1])
-    start = first_t + spec.k if spec.startup == "skip" else first_t + 2
+    start = first_t + spec.min_depth
     if start > last_t:
         raise InsufficientHistory(
             f"series of {signal.t_max} periods admits no window (k={spec.k}, {spec.startup})"
         )
-    anchors = range(start, last_t + 1)
-    out = np.empty((len(anchors), signal.p))
-    for row, t in enumerate(anchors):
-        corr = correlation_matrix(window_slice(signal, t, spec), spec.mode)
-        out[row, :] = np.abs(corr.entries).sum(axis=1)
+    out = np.empty((last_t + 1 - start, signal.p))
+    for row, prior in enumerate(range(spec.min_depth, last_t + 1 - first_t)):
+        w = np.ascontiguousarray(signal.values[max(prior - spec.k, 0):prior][::-1])
+        out[row, :] = np.abs(correlation_matrix(w, spec.mode)).sum(axis=1)
     return IndicatorSeries(
         times=_frozen(np.arange(start, last_t + 1)),
         values=_frozen(out),
@@ -209,11 +153,10 @@ class IncrementalWindow:
         self._rows: deque[np.ndarray] = deque()
         self._col_sum = np.zeros(p)
         self._outer_sum = np.zeros((p, p))
-        self._t = 0  # count of rows consumed; next anchor is _t + 1 (time origin 1)
 
-    def advance(self, new_row) -> CorrelationMatrix | None:
-        """Consume the signal row for the next period; emit the matrix for the
-        anchor just past the filled window, or None while history is short."""
+    def advance(self, new_row) -> np.ndarray | None:
+        """Consume the next period's row; emit the matrix of anchor rows
+        consumed + 1 (time origin 1), or None while history is short."""
         row = np.asarray(new_row, dtype=float)
         if row.shape != (self.p,):
             raise DimensionMismatch(f"expected row of {self.p} entries, got shape {row.shape}")
@@ -224,14 +167,10 @@ class IncrementalWindow:
             old = self._rows.popleft()
             self._col_sum -= old
             self._outer_sum -= np.outer(old, old)
-        self._t += 1
 
-        depth = len(self._rows)
-        min_depth = self.spec.k if self.spec.startup == "skip" else 2
-        if depth < min_depth:
+        k = len(self._rows)
+        if k < self.spec.min_depth:
             return None
-        anchor = self._t + 1
-        k = depth
         if self.spec.mode == "raw":
             r = self._outer_sum / (k - 1)
         else:
@@ -247,5 +186,5 @@ class IncrementalWindow:
             r = np.zeros((self.p, self.p))
             denom = np.outer(sd[live], sd[live])
             r[np.ix_(live, live)] = cov[np.ix_(live, live)] / denom
-        return CorrelationMatrix(entries=_frozen(r), anchor=anchor, mode=self.spec.mode)
+        return r
 

@@ -54,6 +54,20 @@ def _parse_float(fields: list[str], idx: int, line_no: int) -> float:
     return float(raw)
 
 
+def _keys(obj, *keys: str, at: str = ""):
+    """obj, once it is a JSON object holding every one of `keys`; else a
+    TwindexError naming the JSON path (`at` + key) of the first one missing."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise TwindexError(f"missing required key {at}{key}")
+    return obj
+
+
+def _entries(data: dict, name: str, *keys: str) -> list[dict]:
+    """The objects of the list `data[name]`, each checked by `_keys`."""
+    return [_keys(obj, *keys, at=f"{name}[{i}].") for i, obj in enumerate(data[name])]
+
+
 def _parse_int(fields: list[str], idx: int, line_no: int) -> int:
     raw = fields[idx].strip()
     if not _INT_RE.match(raw):
@@ -75,10 +89,13 @@ def parse_event_csv(text: str) -> EventMatrix:
         raise MalformedHeader(f"first column must be 't', got {header[0]!r}", line=1, column=1)
     if len(header) < 2:
         raise MalformedHeader("no channel columns declared", line=1)
-    labels = []
-    for cell in header[1:]:
+    labels = {}
+    for idx, cell in enumerate(header[1:], start=1):
         name, sep, proc = cell.strip().partition(":")
-        labels.append(ChannelLabel(name=name, process=proc if sep else "unassigned"))
+        if name in labels:
+            raise MalformedHeader(f"duplicate channel name {name!r}", line=1,
+                                  column=_field_column(header, idx))
+        labels[name] = ChannelLabel(name=name, process=proc if sep else "unassigned")
 
     periods, rows = [], []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -89,7 +106,9 @@ def parse_event_csv(text: str) -> EventMatrix:
             )
         periods.append(_parse_int(fields, 0, line_no))
         rows.append([_parse_float(fields, j, line_no) for j in range(1, len(fields))])
-    return validate_event_matrix(np.array(rows, dtype=float), labels, periods=np.array(periods))
+    return validate_event_matrix(
+        np.array(rows, dtype=float), list(labels.values()), periods=np.array(periods)
+    )
 
 
 def write_event_csv(events: EventMatrix) -> str:
@@ -188,13 +207,13 @@ def competency_map_to_json(cmap: CompetencyMap) -> str:
 
 
 def competency_map_from_json(text: str) -> CompetencyMap:
-    data = json.loads(text)
+    data = _keys(json.loads(text), "competencies", "mask")
     comps = tuple(
         Competency(
             id=c["id"], name=c.get("name", c["id"]), domain=c["domain"],
             level=c["level"], activation_cost=float(c.get("activation_cost", 0.0)),
         )
-        for c in data["competencies"]
+        for c in _entries(data, "competencies", "id", "domain", "level")
     )
     return CompetencyMap(
         competencies=comps,
@@ -234,13 +253,14 @@ def scenario_to_json(scenario: list[Intervention]) -> str:
 
 
 def scenario_from_json(text: str) -> list[Intervention]:
-    data = json.loads(text)
+    data = _keys(json.loads(text), "interventions")
     return [
         Intervention(
             name=iv["name"], start=int(iv["start"]), duration=int(iv["duration"]),
             channels=tuple(iv["channels"]), delta_per_period=float(iv["delta_per_period"]),
         )
-        for iv in data["interventions"]
+        for iv in _entries(data, "interventions",
+                           "name", "start", "duration", "channels", "delta_per_period")
     ]
 
 
@@ -265,7 +285,7 @@ def generator_config_to_json(config: GeneratorConfig) -> str:
 
 
 def generator_config_from_json(text: str) -> GeneratorConfig:
-    data = json.loads(text)
+    data = _keys(json.loads(text), "seed")
     kwargs = {"seed": int(data["seed"])}
     if "periods" in data:
         kwargs["periods"] = int(data["periods"])
@@ -277,7 +297,7 @@ def generator_config_from_json(text: str) -> GeneratorConfig:
                 seasonal_amplitude=float(p.get("seasonal_amplitude", 0.0)),
                 noise_level=float(p.get("noise_level", 0.0)),
             )
-            for p in data["processes"]
+            for p in _entries(data, "processes", "name", "channel_count", "base_level")
         )
     if "map_density" in data:
         kwargs["map_density"] = float(data["map_density"])

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyModel,
     EmptySignal,
+    InvalidValue,
     NonFiniteValue,
     TimeAxisGap,
     UnknownCompetency,
@@ -164,7 +165,7 @@ class Competency:
 
     def __post_init__(self):
         if self.activation_cost < 0:
-            raise ValueError(f"activation_cost must be >= 0, got {self.activation_cost}")
+            raise InvalidValue(f"activation_cost must be >= 0, got {self.activation_cost}")
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,13 @@ class CompetencyMap:
         if mask.ndim != 2 or mask.shape[0] == 0:
             raise DimensionMismatch(f"mask must be m x n with m >= 1, got shape {mask.shape}")
         if not np.isin(mask, (0, 1)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
+            raise InvalidValue("mask entries must be exactly 0 or 1")
         if mask.shape[0] != len(self.competencies):
             raise DimensionMismatch(
                 f"{len(self.competencies)} competencies but mask has {mask.shape[0]} rows"
             )
         if self.reduction_mode not in ("aggregate", "masked"):
-            raise ValueError(f"unknown reduction_mode {self.reduction_mode!r}")
+            raise InvalidValue(f"unknown reduction_mode {self.reduction_mode!r}")
         object.__setattr__(self, "mask", _frozen(mask.astype(int)))
 
     @property

@@ -161,13 +161,14 @@ def test_flags_from_config_file_with_override(workdir, runner):
     assert len(parse_indicator_csv((workdir / "series12.csv").read_text())) == 45
 
 
-def _assert_clean_failure(result, where):
+def _assert_clean_failure(result, where, code=1):
     # an uncaught exception also gives exit code 1 under CliRunner; only a
-    # SystemExit comes from the CLI's own error path
-    assert result.exit_code == 1
+    # SystemExit comes from the CLI's own error path; click prints a usage
+    # error (exit 2) as "Error: ..."
+    assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)
     output = result.output + (result.stderr or "")
-    assert "error:" in output and where in output
+    assert ("error:" if code == 1 else "Error:") in output and where in output
     assert "Traceback" not in output
 
 
@@ -194,3 +195,64 @@ def test_series_row_without_value_exits_one(tmp_path, runner, command, row):
     out = ["--out", str(tmp_path / "plot.csv")] if command == "plot-data" else []
     result = runner.invoke(main, [command, "--series", str(series), *out])
     _assert_clean_failure(result, "(line 3)")
+
+
+_EVENTS = "t,a,b\n1,1.0,2.0\n2,2.0,1.0\n3,4.0,3.0\n4,3.0,5.0\n"
+_COMP = {"id": "c1", "domain": "cognitive", "level": "knowledge"}
+
+
+def _map(comp=_COMP, mask=((1, 1),)):
+    return json.dumps({"competencies": [comp], "mask": [list(row) for row in mask]})
+
+
+def _indicate(*extra):
+    return ["indicate", "--events", "events.csv", "--map", "map.json", "--out", "s.csv", *extra]
+
+
+# valid inputs, each case overwrites the ones it breaks
+_FILES = {"s.csv": "t,V\n1,10.0\n", "events.csv": _EVENTS, "map.json": _map(),
+          "sc.json": '{"interventions": []}'}
+_COMPARE = ["compare", "--series-a", "s.csv", "--series-b", "s.csv", "--from-config", "c.json"]
+
+
+# (files written in the working directory, arguments, exit code, text the error names)
+_BAD_INPUTS = {
+    "config-k": ({"c.json": '{"k": "abc"}'}, _indicate("--from-config", "c.json"), 2, "'--k'"),
+    "config-mode": ({"c.json": '{"mode": "bogus"}'}, _indicate("--from-config", "c.json"), 2,
+                    "'--mode'"),
+    "config-reduction": ({"c.json": '{"reduction": "weird"}'},
+                         _indicate("--from-config", "c.json"), 2, "'--reduction'"),
+    "config-precision": ({"c.json": '{"precision": "x"}'},
+                         ["plot-data", "--series", "s.csv", "--out", "p.csv",
+                          "--from-config", "c.json"], 2, "'--precision'"),
+    "config-budget": ({"c.json": '{"budget": "lots"}'}, _COMPARE, 2, "'--budget'"),
+    "config-not-json": ({"c.json": '{"k": 6,'}, _COMPARE, 2, "not valid JSON"),
+    "config-list": ({"c.json": '["k", 6]'}, _COMPARE, 2, "JSON object"),
+    "k-below-two": ({}, _indicate("--k", "1"), 1, "k must be >= 2"),
+    "mask-entry-two": ({"map.json": _map(mask=((1, 2),))}, _indicate(), 1, "0 or 1"),
+    "negative-activation-cost": ({"map.json": _map(comp={**_COMP, "activation_cost": -1})},
+                                 _indicate(), 1, "activation_cost"),
+    "map-without-domain": ({"map.json": _map(comp={"id": "c1", "level": "knowledge"})},
+                           _indicate(), 1, "competencies[0].domain"),
+    "scenario-without-start": (
+        {"sc.json": json.dumps({"interventions": [
+            {"name": "hire", "duration": 2, "channels": ["a"], "delta_per_period": 1.0}]})},
+        ["scenario", "--events", "events.csv", "--scenario", "sc.json", "--out", "o.csv"],
+        1, "interventions[0].start"),
+    "generator-without-base-level": (
+        {"g.json": json.dumps({"seed": 1, "processes": [{"name": "p", "channel_count": 2}]})},
+        ["simulate", "--config", "g.json", "--out", "o.csv"], 1, "processes[0].base_level"),
+    "duplicate-channel": (
+        {"events.csv": "t,a,a\n1,1.0,2.0\n2,2.0,1.0\n"},
+        ["scenario", "--events", "events.csv", "--scenario", "sc.json", "--out", "o.csv"],
+        1, "(line 1, column 5)"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS, ids=list(_BAD_INPUTS))
+def test_bad_input_exits_cleanly(tmp_path, runner, monkeypatch, case):
+    files, args, code, where = _BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in {**_FILES, **files}.items():
+        (tmp_path / name).write_text(text)
+    _assert_clean_failure(runner.invoke(main, args), where, code)

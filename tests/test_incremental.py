@@ -3,7 +3,6 @@ import pytest
 
 from twindex import IncrementalWindow, WindowSpec, correlation_matrix
 from twindex.errors import DimensionMismatch
-from twindex.indicator import WindowMatrix
 
 
 def full_recompute(rows, spec):
@@ -11,11 +10,10 @@ def full_recompute(rows, spec):
     out = {}
     for end in range(len(rows)):
         depth = min(end + 1, spec.k)
-        min_depth = spec.k if spec.startup == "skip" else 2
-        if depth < min_depth:
+        if depth < spec.min_depth:
             continue
-        w = np.array(rows[end - depth + 1 : end + 1][::-1])  # lag 1 first
-        out[end + 2] = correlation_matrix(WindowMatrix(rows=w, anchor=end + 2), spec.mode).entries
+        w = np.array([rows[end - lag] for lag in range(depth)])  # lag 1 first
+        out[end + 2] = correlation_matrix(w, spec.mode)
     return out
 
 
@@ -29,10 +27,10 @@ def test_matches_full_recompute(mode, startup):
     expected = full_recompute(rows, spec)
     state = IncrementalWindow(spec, p)
     emitted = {}
-    for row in rows:
+    for consumed, row in enumerate(rows, start=1):
         corr = state.advance(row)
         if corr is not None:
-            emitted[corr.anchor] = corr.entries
+            emitted[consumed + 1] = corr
     assert emitted.keys() == expected.keys()
     for anchor, mat in emitted.items():
         np.testing.assert_allclose(mat, expected[anchor], atol=1e-9)
@@ -46,7 +44,7 @@ def test_constant_window_closed_form():
     corr = None
     for _ in range(k):
         corr = state.advance(v)
-    np.testing.assert_allclose(corr.entries, (k / (k - 1)) * np.outer(v, v), atol=1e-12)
+    np.testing.assert_allclose(corr, (k / (k - 1)) * np.outer(v, v), atol=1e-12)
 
 
 def test_window_forgets_spike():
@@ -66,7 +64,7 @@ def test_window_forgets_spike():
         last_s = spiked.advance(row)
         last_c = clean.advance(row)
     # spike has rolled out of the window; residual is add/subtract roundoff
-    np.testing.assert_allclose(last_s.entries, last_c.entries, atol=1e-9)
+    np.testing.assert_allclose(last_s, last_c, atol=1e-9)
 
 
 def test_dimension_mismatch():
@@ -85,5 +83,5 @@ def test_no_emission_before_window_fills():
 def test_grow_emits_from_two_rows():
     state = IncrementalWindow(WindowSpec(k=4, startup="grow"), 2)
     assert state.advance([1.0, 2.0]) is None
-    corr = state.advance([2.0, 1.0])
-    assert corr is not None and corr.anchor == 3
+    corr = state.advance([2.0, 1.0])  # two rows consumed: anchor 3
+    assert corr is not None

@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
 
-from twindex import (
-    WindowSpec,
-    channel_indicator,
-    correlation_matrix,
-    indicator_series,
-    window_slice,
-)
-from twindex.errors import (
-    DegenerateWindow,
-    IndexOutOfRange,
-    InsufficientHistory,
-)
-from twindex.indicator import CorrelationMatrix, WindowMatrix
+from twindex import WindowSpec, correlation_matrix, indicator_series
+from twindex.errors import DegenerateWindow, InsufficientHistory
 
 from conftest import random_signal
 
@@ -55,116 +44,58 @@ def oracle_standardized_matrix(window):
 
 
 def oracle_series_total(signal, spec):
-    """Naive per-t recomposition of slice + matrix + row sums."""
+    """Naive per-t recomposition of explicitly indexed lag window + matrix +
+    per-channel sums of |r_ij|."""
     total = 0.0
     first = int(signal.periods[0])
-    start = first + spec.k if spec.startup == "skip" else first + 2
-    for t in range(start, int(signal.periods[-1]) + 1):
-        w = window_slice(signal, t, spec)
-        r = correlation_matrix(w, spec.mode)
+    for t in range(first + spec.min_depth, int(signal.periods[-1]) + 1):
+        # grid rows of t-1, t-2, ..., at most k of them
+        idx = [t - lag - first for lag in range(1, min(spec.k, t - first) + 1)]
+        r = correlation_matrix(signal.values[idx, :], spec.mode)
         for i in range(signal.p):
-            total += channel_indicator(r, i)
+            total += float(np.abs(r[i, :]).sum())
     return total
 
 
-# -- window_slice -------------------------------------------------------------
-
-class TestWindowSlice:
-    def test_lag_order(self):
-        rng = np.random.default_rng(0)
-        sig = random_signal(rng, 10, 2)
-        w = window_slice(sig, 8, WindowSpec(k=3))
-        assert w.rows.shape == (3, 2)
-        # rows are t=7, 6, 5 in that order (grid row t-1)
-        np.testing.assert_array_equal(w.rows, sig.values[[6, 5, 4], :])
-        assert w.anchor == 8
-
-    def test_skip_insufficient(self):
-        sig = random_signal(np.random.default_rng(0), 10, 2)
-        with pytest.raises(InsufficientHistory):
-            window_slice(sig, 3, WindowSpec(k=5, startup="skip"))
-
-    def test_skip_boundary_exact(self):
-        sig = random_signal(np.random.default_rng(0), 10, 2)
-        assert window_slice(sig, 6, WindowSpec(k=5)).rows.shape == (5, 2)
-        with pytest.raises(InsufficientHistory):
-            window_slice(sig, 5, WindowSpec(k=5))
-
-    def test_grow_partial(self):
-        sig = random_signal(np.random.default_rng(0), 10, 2)
-        w = window_slice(sig, 3, WindowSpec(k=5, startup="grow"))
-        assert w.rows.shape == (2, 2)
-        np.testing.assert_array_equal(w.rows, sig.values[[1, 0], :])
-
-    def test_grow_too_short(self):
-        sig = random_signal(np.random.default_rng(0), 10, 2)
-        with pytest.raises(InsufficientHistory):
-            window_slice(sig, 2, WindowSpec(k=5, startup="grow"))
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            WindowSpec(k=1)
+def oracle_row(signal, spec, rows):
+    """Row sums of |r| on the window of the given grid rows (lag 1 first)."""
+    return np.abs(correlation_matrix(signal.values[rows, :], spec.mode)).sum(axis=1)
 
 
 # -- correlation_matrix -------------------------------------------------------
 
 class TestCorrelationMatrix:
     def test_raw_all_ones(self):
-        w = WindowMatrix(rows=np.ones((5, 3)), anchor=9)
-        r = correlation_matrix(w, "raw")
-        np.testing.assert_allclose(r.entries, 1.25)
+        r = correlation_matrix(np.ones((5, 3)), "raw")
+        np.testing.assert_allclose(r, 1.25)
 
     def test_standardized_perfect_anticorrelation(self):
         col = np.array([1.0, 2.0, 4.0, 3.0])
-        w = WindowMatrix(rows=np.column_stack([col, -col]), anchor=5)
-        r = correlation_matrix(w, "standardized").entries
+        r = correlation_matrix(np.column_stack([col, -col]), "standardized")
         np.testing.assert_allclose(r, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
     def test_standardized_constant_column_zeroed(self):
         rng = np.random.default_rng(5)
         w = np.column_stack([rng.normal(size=6), np.full(6, 3.7), rng.normal(size=6)])
-        r = correlation_matrix(WindowMatrix(rows=w, anchor=7), "standardized").entries
+        r = correlation_matrix(w, "standardized")
         assert (r[1, :] == 0.0).all() and (r[:, 1] == 0.0).all()
         assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_matches_oracle(self):
         rng = np.random.default_rng(42)
         w = rng.normal(10, 4, size=(4, 3))
-        got = correlation_matrix(WindowMatrix(rows=w, anchor=5), "raw").entries
+        got = correlation_matrix(w, "raw")
         np.testing.assert_allclose(got, oracle_raw_matrix(w), atol=1e-12)
 
     def test_standardized_matches_oracle(self):
         rng = np.random.default_rng(43)
         w = rng.normal(0, 2, size=(4, 3))
-        got = correlation_matrix(WindowMatrix(rows=w, anchor=5), "standardized").entries
+        got = correlation_matrix(w, "standardized")
         np.testing.assert_allclose(got, oracle_standardized_matrix(w), atol=1e-12)
 
     def test_degenerate_window(self):
         with pytest.raises(DegenerateWindow):
-            correlation_matrix(WindowMatrix(rows=np.ones((1, 2)), anchor=2), "raw")
-
-
-# -- channel_indicator --------------------------------------------------------
-
-class TestChannelIndicator:
-    def test_hand_sum(self):
-        r = CorrelationMatrix(entries=np.array([[1.0, 0.5], [0.5, 1.0]]), anchor=1, mode="raw")
-        assert channel_indicator(r, 0) == pytest.approx(1.5)
-
-    def test_zero_matrix(self):
-        r = CorrelationMatrix(entries=np.zeros((3, 3)), anchor=1, mode="raw")
-        assert channel_indicator(r, 1) == 0.0
-
-    def test_absolute_values(self):
-        r = CorrelationMatrix(
-            entries=np.array([[1.0, -0.3, 0.2]] * 3), anchor=1, mode="raw"
-        )
-        assert channel_indicator(r, 0) == pytest.approx(1.5)
-
-    def test_index_out_of_range(self):
-        r = CorrelationMatrix(entries=np.eye(2), anchor=1, mode="raw")
-        with pytest.raises(IndexOutOfRange):
-            channel_indicator(r, 2)
+            correlation_matrix(np.ones((1, 2)), "raw")
 
 
 # -- indicator_series / total -------------------------------------------------
@@ -211,3 +142,48 @@ class TestIndicatorSeries:
         sig = random_signal(np.random.default_rng(9), 30, 5)
         series = indicator_series(sig, WindowSpec(k=6))
         np.testing.assert_allclose(series.period_sums, series.values.sum(axis=1), atol=1e-12)
+
+    # window boundaries: each series row equals the row sums of
+    # correlation_matrix on the explicitly indexed lag window
+    def test_lag_order(self):
+        sig = random_signal(np.random.default_rng(0), 10, 2)
+        spec = WindowSpec(k=3)
+        series = indicator_series(sig, spec)
+        # anchor t=8 reads t=7, 6, 5 in that order (grid row t-1)
+        assert series.times[4] == 8
+        np.testing.assert_array_equal(series.values[4], oracle_row(sig, spec, [6, 5, 4]))
+
+    def test_skip_insufficient(self):
+        sig = random_signal(np.random.default_rng(0), 10, 2)
+        series = indicator_series(sig, WindowSpec(k=5, startup="skip"))
+        assert series.times.tolist() == list(range(6, 11))  # no anchor before k lags
+
+    def test_skip_boundary_exact(self):
+        sig = random_signal(np.random.default_rng(0), 10, 2)
+        spec = WindowSpec(k=5)
+        series = indicator_series(sig, spec)
+        assert series.times[0] == 6  # t=5 has only 4 lags
+        np.testing.assert_array_equal(series.values[0], oracle_row(sig, spec, [4, 3, 2, 1, 0]))
+        exact = random_signal(np.random.default_rng(0), 6, 2)
+        assert indicator_series(exact, spec).times.tolist() == [6]
+        with pytest.raises(InsufficientHistory):
+            indicator_series(random_signal(np.random.default_rng(0), 5, 2), spec)
+
+    def test_grow_partial(self):
+        sig = random_signal(np.random.default_rng(0), 10, 2)
+        spec = WindowSpec(k=5, startup="grow")
+        series = indicator_series(sig, spec)
+        # depth 2 at t=3, 3 at t=4, the full k from t=6 on
+        assert series.times[0] == 3
+        np.testing.assert_array_equal(series.values[0], oracle_row(sig, spec, [1, 0]))
+        np.testing.assert_array_equal(series.values[1], oracle_row(sig, spec, [2, 1, 0]))
+        np.testing.assert_array_equal(series.values[5], oracle_row(sig, spec, [6, 5, 4, 3, 2]))
+
+    def test_grow_too_short(self):
+        sig = random_signal(np.random.default_rng(0), 2, 2)
+        with pytest.raises(InsufficientHistory):
+            indicator_series(sig, WindowSpec(k=5, startup="grow"))
+
+    def test_k_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            WindowSpec(k=1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twindex import WindowSpec, correlation_matrix, indicator_series
-from twindex.indicator import WindowMatrix
 
 from conftest import random_signal
 
@@ -26,7 +25,7 @@ def windows(min_rows=2, max_rows=12, max_cols=6):
 @settings(max_examples=150, deadline=None)
 def test_symmetry_both_modes(w):
     for mode in ("raw", "standardized"):
-        r = correlation_matrix(WindowMatrix(rows=w, anchor=w.shape[0] + 1), mode).entries
+        r = correlation_matrix(w, mode)
         assert np.abs(r - r.T).max() <= 1e-12
 
 
@@ -35,7 +34,7 @@ def test_symmetry_both_modes(w):
 # a live column whose squared deviations are subnormal
 @example(np.array([[3.80508902e-159], [0.0], [0.0], [0.0], [0.0]]))
 def test_standardized_bounds_and_diagonal(w):
-    r = correlation_matrix(WindowMatrix(rows=w, anchor=w.shape[0] + 1), "standardized").entries
+    r = correlation_matrix(w, "standardized")
     assert np.abs(r).max() <= 1 + 1e-12
     # dead = constant column, or variance underflowed to exactly 0
     live = (w.max(axis=0) != w.min(axis=0)) & (w.std(axis=0, ddof=1) > 0.0)
@@ -46,9 +45,8 @@ def test_standardized_bounds_and_diagonal(w):
 @given(windows(), st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=100, deadline=None)
 def test_raw_mode_alpha_squared_scaling(w, alpha):
-    anchor = w.shape[0] + 1
-    base = correlation_matrix(WindowMatrix(rows=w, anchor=anchor), "raw").entries
-    scaled = correlation_matrix(WindowMatrix(rows=alpha * w, anchor=anchor), "raw").entries
+    base = correlation_matrix(w, "raw")
+    scaled = correlation_matrix(alpha * w, "raw")
     np.testing.assert_allclose(scaled, alpha**2 * base, rtol=1e-10, atol=1e-16)
 
 
@@ -57,11 +55,10 @@ def test_raw_mode_alpha_squared_scaling(w, alpha):
 def test_single_channel_scaling_invariance(seed, alpha):
     rng = np.random.default_rng(seed)
     w = rng.normal(10, 3, size=(6, 3))
-    anchor = 7
-    base = correlation_matrix(WindowMatrix(rows=w, anchor=anchor), "standardized").entries
+    base = correlation_matrix(w, "standardized")
     w2 = w.copy()
     w2[:, 1] *= alpha
-    scaled = correlation_matrix(WindowMatrix(rows=w2, anchor=anchor), "standardized").entries
+    scaled = correlation_matrix(w2, "standardized")
     np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
